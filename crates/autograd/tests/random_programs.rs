@@ -129,3 +129,142 @@ prop_check! {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Partitioned evaluation ≡ resident evaluation over random graph programs.
+//
+// Each case builds a random graph-bearing program (SpMM over a random CSR,
+// MatMul against `Param` weights, relu, add, concat_cols, max_stack) on a
+// tape, exports it, and checks that the tape's forward value, a one-shot
+// `RowPlan::eval_rows` over every row, and `evaluate_program_partitioned`
+// over two random covers agree `to_bits`. The input features zero exactly
+// the rows of one part, so the zero density a part's rows show differs
+// from the whole operand's (and relu makes more such zeros downstream):
+// any kernel whose bits depended on operand density would fail here.
+// `scripts/verify.sh` runs this suite at LASAGNE_THREADS=1 and 4.
+
+use lasagne_autograd::{evaluate_program_partitioned, ParamId, RowPlan};
+use lasagne_sparse::Csr;
+use lasagne_tensor::Tensor;
+use std::rc::Rc;
+
+/// One layer of a random graph program over `n × h` node features.
+#[derive(Debug, Clone)]
+enum GraphStep {
+    Propagate(usize),
+    Project(usize),
+    Relu(usize),
+    Add(usize, usize),
+    ConcatProject(usize, usize),
+    MaxStack(usize, usize),
+}
+
+fn graph_step_gen() -> OneOf<GraphStep> {
+    let pair = |rng: &mut Rng| (rng.index(100), rng.index(100));
+    OneOf::new(vec![
+        Box::new(|rng: &mut Rng| GraphStep::Propagate(rng.index(100))),
+        Box::new(|rng: &mut Rng| GraphStep::Project(rng.index(100))),
+        Box::new(|rng: &mut Rng| GraphStep::Relu(rng.index(100))),
+        Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::Add(a, b) }),
+        Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::ConcatProject(a, b) }),
+        Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::MaxStack(a, b) }),
+    ])
+}
+
+/// A random cover of `0..n` by `k` non-empty parts (rows in each part
+/// ascending, parts in random order of membership).
+fn random_cover(rng: &mut Rng, n: usize, k: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut order);
+    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for (pos, &r) in order.iter().enumerate() {
+        // The first k shuffled rows seed one part each; the rest land anywhere.
+        let p = if pos < k { pos } else { rng.index(k) };
+        parts[p].push(r);
+    }
+    for part in &mut parts {
+        part.sort_unstable();
+    }
+    parts
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+prop_check! {
+    cases = 64,
+    fn partitioned_eval_matches_tape_forward_bitwise(
+        steps in vec_of(graph_step_gen(), 1..10),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut trng = TensorRng::seed_from_u64(seed);
+        let n = rng.range_usize(8, 120);
+        let h = rng.range_usize(2, 7);
+        let k = rng.range_usize(2, 6).min(n);
+
+        // Random weighted graph with self loops (every row has a nonzero).
+        let mut coo: Vec<(u32, u32, f32)> = Vec::new();
+        for i in 0..n {
+            coo.push((i as u32, i as u32, rng.range_f32(0.1, 1.0)));
+            for _ in 0..rng.range_usize(0, 4) {
+                coo.push((i as u32, rng.index(n) as u32, rng.range_f32(-1.0, 1.0)));
+            }
+        }
+        let adj = Rc::new(Csr::from_coo(n, n, &coo));
+
+        // Features whose zero rows are exactly the rows of the first part.
+        let covers = [random_cover(&mut rng, n, k), random_cover(&mut rng, n, k)];
+        let mut x = trng.uniform_tensor(n, h, -1.0, 1.0);
+        for &r in &covers[0][0] {
+            x.as_mut_slice()[r * h..(r + 1) * h].fill(0.0);
+        }
+
+        let mut store = ParamStore::new();
+        let mut weight_ids: Vec<ParamId> = Vec::new();
+        let mut tape = Tape::new();
+        let mut nodes = vec![tape.constant(x)];
+        for (s, step) in steps.iter().enumerate() {
+            let len = nodes.len();
+            let pick = |i: &usize| nodes[i % len];
+            let mut project = |tape: &mut Tape, x: NodeId, rows: usize| {
+                let w = store.add(format!("w{s}"), trng.uniform_tensor(rows, h, -0.8, 0.8));
+                weight_ids.push(w);
+                let wn = tape.param(w, &store);
+                tape.matmul(x, wn)
+            };
+            let out = match step {
+                GraphStep::Propagate(a) => tape.spmm(Rc::clone(&adj), pick(a)),
+                GraphStep::Project(a) => project(&mut tape, pick(a), h),
+                GraphStep::Relu(a) => tape.relu(pick(a)),
+                GraphStep::Add(a, b) => tape.add(pick(a), pick(b)),
+                GraphStep::ConcatProject(a, b) => {
+                    let cat = tape.concat_cols(&[pick(a), pick(b)]);
+                    project(&mut tape, cat, 2 * h)
+                }
+                GraphStep::MaxStack(a, b) => tape.max_stack(&[pick(a), pick(b)]),
+            };
+            nodes.push(out);
+        }
+        let out = *nodes.last().expect("non-empty");
+        let want = bits(tape.value(out));
+        let program = tape.export_program(&store, out).expect("export");
+        let weights: Vec<(String, Tensor)> = weight_ids
+            .iter()
+            .map(|&id| (store.name(id).to_string(), store.value(id).clone()))
+            .collect();
+
+        let plan = RowPlan::new(&program, &weights).expect("graph programs are row-local");
+        let all: Vec<usize> = (0..n).collect();
+        let resident = plan.eval_rows(&all).expect("eval all rows");
+        prop_assert!(bits(&resident) == want, "eval_rows(all) differs from the tape: {steps:?}");
+        for (c, parts) in covers.iter().enumerate() {
+            let swept = evaluate_program_partitioned(&program, &weights, parts).expect("sweep");
+            prop_assert!(
+                bits(&swept) == want,
+                "cover {c} ({k} parts of {n} rows) differs from the tape: {steps:?}"
+            );
+        }
+    }
+}
