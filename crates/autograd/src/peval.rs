@@ -22,13 +22,15 @@
 //!   which with the ascending-from-+0.0 accumulation contract (DESIGN.md
 //!   §8) makes the block product bit-identical to rows `R` of the full
 //!   product. Dense row gathers are pure copies.
-//! * **The density probe.** `Tensor::matmul` picks its zero-skip branch by
-//!   probing ≤ 64 strided samples of the **full** left operand, and the
-//!   branch changes bits (the skip path never touches `0.0 * b` terms). A
-//!   row subset cannot run that probe as-is, so the demand pass always
-//!   pulls in the probe-sample rows, the forward pass re-runs the probe on
-//!   the reconstructed samples, and the product goes through
-//!   [`Tensor::matmul_with_skip`] with the resident verdict.
+//! * **Skip-neutral products.** `Tensor::matmul` picks its zero-skip
+//!   branch by probing the density of whichever left operand it is given,
+//!   so a row subset may take the other branch than the full product. The
+//!   branch is bit-neutral: accumulators start at `+0.0` and never become
+//!   `-0.0`, so adding a `±0` product (`0 · b` for finite `b`) never changes
+//!   one. Only a non-finite right operand (`0 · inf = NaN`) tells the
+//!   branches apart, and every shipped model's right operand is a weight,
+//!   which `lasagne-serve` checks finite at freeze and at load. So a
+//!   partitioned `MatMul` is the plain kernel on the demanded rows.
 //!
 //! `SumAll`/`SumRows` reductions and `GatAggregate` are not row-local: they
 //! need a full non-leaf operand. Plans over programs where such an operand
@@ -111,44 +113,6 @@ fn op_name(op: &ProgramOp) -> &'static str {
         MaxStack { .. } => "max_stack",
         GatAggregate { .. } => "gat_aggregate",
     }
-}
-
-/// The rows of the full left operand `Tensor::matmul`'s density probe
-/// samples: flat indices `0, step, 2·step, …` with `step = ceil(len/64)`,
-/// mapped to row ids. Mirrors `looks_sparse` exactly (including the
-/// ceil-rounded stride).
-fn probe_rows(rows: usize, cols: usize) -> Vec<usize> {
-    const SAMPLES: usize = 64;
-    let len = rows * cols;
-    if len == 0 {
-        return Vec::new();
-    }
-    let step = len.div_ceil(SAMPLES).max(1);
-    let mut out: Vec<usize> = (0..len).step_by(step).map(|f| f / cols).collect();
-    out.dedup(); // flat indices ascend, so rows are already sorted
-    out
-}
-
-/// Re-run the resident density probe from sampled values: `get(f)` must
-/// return the full left operand's flat element `f`. Same stride, same
-/// `== 0.0` test, same ≥¼-zeros verdict as `Tensor::looks_sparse`.
-fn probe_skip(rows: usize, cols: usize, get: impl Fn(usize) -> f32) -> bool {
-    const SAMPLES: usize = 64;
-    let len = rows * cols;
-    if len == 0 {
-        return false;
-    }
-    let step = len.div_ceil(SAMPLES).max(1);
-    let (mut zeros, mut total) = (0usize, 0usize);
-    let mut f = 0;
-    while f < len {
-        if get(f) == 0.0 {
-            zeros += 1;
-        }
-        total += 1;
-        f += step;
-    }
-    zeros * 4 >= total
 }
 
 /// Positions of each `wanted` row inside the sorted `union` row list.
@@ -305,7 +269,7 @@ impl<'a> RowPlan<'a> {
 
     /// Fully materialize instruction `i` (plan-validated small) and its
     /// non-leaf dependencies into `full_vals`, with the exact resident
-    /// kernels — same ops, same internal probes, same bits.
+    /// kernels — same ops, same bits.
     fn eval_full(&self, i: usize, full_vals: &mut [Option<Tensor>]) -> Result<(), PevalError> {
         if full_vals[i].is_some() {
             return Ok(());
@@ -429,9 +393,7 @@ impl<'a> RowPlan<'a> {
             match &self.ops[i] {
                 ProgramOp::Constant { .. } | ProgramOp::Param { .. } => {}
                 ProgramOp::MatMul { a, b } => {
-                    let (ar, ac) = self.shapes[*a];
                     merge_into(&mut demand[*a], d.iter().copied());
-                    merge_into(&mut demand[*a], probe_rows(ar, ac));
                     mark_full(&mut need_full, *b, self.ops);
                 }
                 ProgramOp::SpMM { m, x } => {
@@ -534,20 +496,7 @@ impl<'a> RowPlan<'a> {
                 // Leaf rows are gathered lazily by consumers; no value to
                 // store (and nothing to compute).
                 ProgramOp::Constant { .. } | ProgramOp::Param { .. } => continue,
-                ProgramOp::MatMul { a, b } => {
-                    let (ar, ac) = self.shapes[*a];
-                    // Reconstruct the resident probe from the sampled rows
-                    // (always part of a's demand), then take the demanded
-                    // rows through the explicit-skip seed kernel.
-                    let prows = probe_rows(ar, ac);
-                    let samples = take(*a, &prows)?;
-                    let skip = probe_skip(ar, ac, |f| {
-                        let (r, c) = (f / ac, f % ac);
-                        let local = prows.binary_search(&r).expect("probe row sampled");
-                        samples.get(local, c)
-                    });
-                    take(*a, &d)?.matmul_with_skip(full(*b)?, skip)
-                }
+                ProgramOp::MatMul { a, b } => take(*a, &d)?.matmul(full(*b)?),
                 ProgramOp::SpMM { m, x } => {
                     let cols = spmm_cols[i].as_ref().expect("spmm demand recorded");
                     let block = self.sparse[*m].slice(&d, cols);
@@ -716,8 +665,8 @@ mod tests {
     fn row_subsets_match_resident_bitwise() {
         let (program, weights) = toy_program(30, 1);
         // Resident reference via the plan itself at k=1 plus a tape replay
-        // is circular; instead evaluate all rows in one go (which exercises
-        // the same full-probe path as resident) and compare subsets.
+        // is circular; instead evaluate all rows in one go (every kernel
+        // then sees full operands, as resident does) and compare subsets.
         let plan = RowPlan::new(&program, &weights).unwrap();
         let all: Vec<usize> = (0..30).collect();
         let resident = plan.eval_rows(&all).unwrap();
