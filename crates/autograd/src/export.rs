@@ -200,48 +200,6 @@ impl Program {
         }
         seen
     }
-
-    /// Names of parameters consumed **exclusively** as the right operand of
-    /// `MatMul` ops (and not as the program output). These are the weights a
-    /// quantized serve path may store compressed and dequantize on the fly
-    /// inside the matmul panel loop: every use site goes through the packed
-    /// micro-kernel, so materializing vs fusing is bitwise-neutral. A weight
-    /// that also feeds any other op (bias adds, attention scores, …) — or
-    /// the `a` side of a matmul — stays exact.
-    pub fn matmul_only_params(&self) -> Vec<&str> {
-        let mut ok = vec![true; self.ops.len()];
-        for op in &self.ops {
-            match op {
-                // The `b` slot is the one fusable position; `a` is not.
-                ProgramOp::MatMul { a, .. } => ok[*a] = false,
-                _ => {
-                    for inp in op.inputs() {
-                        ok[inp] = false;
-                    }
-                }
-            }
-        }
-        if let Some(slot) = ok.get_mut(self.output) {
-            *slot = false;
-        }
-        let mut names: Vec<&str> = Vec::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            if let ProgramOp::Param { name } = op {
-                if ok[i] && !names.contains(&name.as_str()) {
-                    names.push(name);
-                }
-            }
-        }
-        // A name can bind several Param slots (shared weights); it is
-        // matmul-only only if *every* slot is.
-        names.retain(|n| {
-            self.ops.iter().enumerate().all(|(i, op)| match op {
-                ProgramOp::Param { name } if name == n => ok[i],
-                _ => true,
-            })
-        });
-        names
-    }
 }
 
 /// Mark every tape index reachable from `output` by walking op inputs.

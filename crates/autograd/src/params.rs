@@ -168,7 +168,7 @@ impl ParamStore {
         self.values.iter().any(Tensor::has_non_finite)
     }
 
-    /// Global L2 norm of all gradients taken together (the quantity
+    /// Global L2 norm of all gradients taken together (the value
     /// [`crate::clip_grad_norm`] bounds).
     pub fn grad_global_norm(&self) -> f32 {
         self.grads

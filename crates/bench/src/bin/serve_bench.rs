@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use lasagne_datasets::{Dataset, DatasetId};
 use lasagne_gnn::{models, GraphContext, Hyper};
-use lasagne_serve::{freeze, Client, Engine, FrozenModel, QuantMode, Request, Server, ServerConfig};
+use lasagne_serve::{freeze, Client, Engine, FrozenModel, Request, Server, ServerConfig};
 use lasagne_testkit::rng::Rng;
 use lasagne_testkit::{chaos, Json};
 
@@ -234,78 +234,6 @@ fn saturation_sweep(
     (rows, knee_clients, knee_rps)
 }
 
-/// Drive `clients × per_client` predicts against a freshly started server
-/// for `model`, returning `(requests, p50_us, p99_us, rps)`.
-fn drive_model(model: FrozenModel, clients: usize, per_client: usize) -> (usize, f64, f64, f64) {
-    let engine =
-        Engine::new(model).unwrap_or_else(|e| fail(&format!("comparison engine build: {e}")));
-    let num_nodes = engine.num_nodes();
-    let server = Server::start(
-        engine,
-        ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() },
-    )
-    .unwrap_or_else(|e| fail(&format!("comparison server start: {e}")));
-    let addr = server.local_addr().to_string();
-    let wall = Instant::now();
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let addr = addr.clone();
-            std::thread::spawn(move || drive(&addr, per_client, num_nodes, 0x9a17 + c as u64))
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::with_capacity(clients * per_client);
-    for h in handles {
-        latencies.extend(h.join().unwrap_or_else(|_| fail("comparison client panicked")));
-    }
-    let elapsed = wall.elapsed().as_secs_f64();
-    server.shutdown();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let total = latencies.len();
-    (total, percentile(&latencies, 0.50), percentile(&latencies, 0.99), total as f64 / elapsed)
-}
-
-/// Quantized-vs-f32 serving rows: same model exported exact and
-/// i8-quantized, each served and driven identically, with the frozen file
-/// sizes alongside (the engine caches full-graph logits at load, so req/s
-/// should match and the artifact size is where quantization pays).
-fn quantized_comparison(args: &Args, per_client: usize) -> Option<Json> {
-    let f32_model = frozen_model(&args.frozen, 0);
-    let q_model = match f32_model.clone().quantize(QuantMode::I8) {
-        Ok(m) => m,
-        Err(e) => {
-            println!("quantized comparison skipped: {e}");
-            return None;
-        }
-    };
-    let mut rows = Vec::new();
-    for (label, model) in [("f32", f32_model), ("quantized_i8", q_model)] {
-        let path = std::env::temp_dir()
-            .join(format!("lasagne-serve-bench-{label}-{}.json", std::process::id()));
-        model.save(&path).unwrap_or_else(|e| fail(&format!("save {label} artifact: {e}")));
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let load = Instant::now();
-        let reloaded = FrozenModel::load(&path)
-            .unwrap_or_else(|e| fail(&format!("reload {label} artifact: {e}")));
-        let load_ms = load.elapsed().as_secs_f64() * 1e3;
-        let _ = std::fs::remove_file(&path);
-        let (requests, p50, p99, rps) = drive_model(reloaded, 8, per_client);
-        println!(
-            "{label:<13} frozen={bytes:>9} B  load={load_ms:>7.1} ms  requests={requests:>6}  \
-             p50={p50:>9.1}us  p99={p99:>9.1}us  {rps:>9.0} req/s"
-        );
-        rows.push(Json::Obj(vec![
-            ("weights".into(), Json::Str(label.into())),
-            ("frozen_bytes".into(), Json::Num(bytes as f64)),
-            ("load_ms".into(), Json::Num(load_ms)),
-            ("requests".into(), Json::Num(requests as f64)),
-            ("p50_us".into(), Json::Num(p50)),
-            ("p99_us".into(), Json::Num(p99)),
-            ("throughput_rps".into(), Json::Num(rps)),
-        ]));
-    }
-    Some(Json::Arr(rows))
-}
-
 fn run_bench(args: &Args) {
     let engine = build_engine(&args.frozen, 0);
     let num_nodes = engine.num_nodes();
@@ -350,13 +278,12 @@ fn run_bench(args: &Args) {
     let window = Duration::from_millis(if args.smoke { 150 } else { 500 });
     let (sweep_rows, knee_clients, knee_rps) = saturation_sweep(&addr, num_nodes, window);
     println!("knee: {knee_rps:.0} req/s at {knee_clients} clients");
-    let quant_rows = quantized_comparison(args, per_client);
     let stats = server.stats();
     println!(
         "server side: {} requests in {} batches (max batch {}, mean {:.2})",
         stats.requests, stats.batches, stats.max_batch, stats.mean_batch
     );
-    let mut doc_fields = vec![
+    let doc = Json::Obj(vec![
         ("bench".to_string(), Json::Str("serve".into())),
         ("smoke".to_string(), Json::Bool(args.smoke)),
         ("levels".to_string(), Json::Arr(rows)),
@@ -377,11 +304,7 @@ fn run_bench(args: &Args) {
                 ("mean_batch".into(), Json::Num(stats.mean_batch)),
             ]),
         ),
-    ];
-    if let Some(rows) = quant_rows {
-        doc_fields.push(("quantized_comparison".to_string(), rows));
-    }
-    let doc = Json::Obj(doc_fields);
+    ]);
     server.shutdown();
     std::fs::write(&args.out, format!("{doc}\n"))
         .unwrap_or_else(|e| fail(&format!("write {}: {e}", args.out.display())));
@@ -835,10 +758,6 @@ fn run_check(addr: &str) {
             &format!("stats must carry numeric '{field}'"),
         );
     }
-    expect(
-        stats.get("quantized").and_then(Json::as_bool).is_some(),
-        "stats must carry boolean 'quantized'",
-    );
 
     // 7. The server is still healthy after all the abuse.
     client.call_ok(&Request::Health).unwrap_or_else(|e| fail(&e.to_string()));

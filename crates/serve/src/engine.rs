@@ -20,8 +20,7 @@ use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
 use crate::error::{ServeError, ServeResult};
-use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec, FrozenWeight};
-use crate::quant::QuantMatrix;
+use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec};
 use crate::streaming::StreamingState;
 
 /// Evaluate `program`, binding `Param` leaves against `weights` by name.
@@ -41,23 +40,6 @@ pub(crate) fn evaluate_ops(
     sparse: &[&Csr],
     weights: &[(String, Tensor)],
 ) -> ServeResult<Vec<Tensor>> {
-    evaluate_ops_with_quant(ops, sparse, weights, &[])
-}
-
-/// [`evaluate_ops`] plus a fused-quantization table: `quant` lists Param op
-/// indices whose weight stays compressed — those slots get a placeholder
-/// value (never read, guaranteed by the fusion analysis in
-/// [`Engine::new`]), and every `MatMul` whose right operand is such a slot
-/// runs [`Tensor::matmul_packed_b`] with the dequantizing panel kernel
-/// instead of materializing the weight. Bitwise-identical to dequantizing
-/// up front and calling `matmul` (same values, same per-element
-/// accumulation order, same left-operand density probe).
-pub(crate) fn evaluate_ops_with_quant(
-    ops: &[ProgramOp],
-    sparse: &[&Csr],
-    weights: &[(String, Tensor)],
-    quant: &[(usize, &QuantMatrix)],
-) -> ServeResult<Vec<Tensor>> {
     lasagne_obs::span!("serve.evaluate");
     let lookup = |name: &str| -> ServeResult<&Tensor> {
         weights
@@ -66,25 +48,13 @@ pub(crate) fn evaluate_ops_with_quant(
             .map(|(_, t)| t)
             .ok_or_else(|| ServeError::MissingParam(name.to_string()))
     };
-    let fused = |i: usize| quant.iter().find(|(qi, _)| *qi == i).map(|(_, q)| *q);
     let mut values: Vec<Tensor> = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
+    for op in ops {
         let v = |i: usize| -> &Tensor { &values[i] };
         let out = match op {
             ProgramOp::Constant { value } => value.clone(),
-            ProgramOp::Param { name } => match fused(i) {
-                // Slot stays compressed; consumers go through the panel
-                // kernel below and never read this placeholder.
-                Some(_) => Tensor::zeros(0, 0),
-                None => lookup(name)?.clone(),
-            },
-            ProgramOp::MatMul { a, b } => match fused(*b) {
-                Some(q) => {
-                    let (qr, qc) = q.shape();
-                    v(*a).matmul_packed_b(qr, qc, |p0, p1, buf| q.dequant_rows_into(p0, p1, buf))
-                }
-                None => v(*a).matmul(v(*b)),
-            },
+            ProgramOp::Param { name } => lookup(name)?.clone(),
+            ProgramOp::MatMul { a, b } => v(*a).matmul(v(*b)),
             ProgramOp::SpMM { m, x } => sparse[*m].spmm(v(*x)),
             ProgramOp::Add { a, b } => v(*a).add(v(*b)),
             ProgramOp::Sub { a, b } => v(*a).sub(v(*b)),
@@ -164,72 +134,10 @@ pub struct Engine {
     /// Streaming-mutation state; `None` for pre-streaming frozen files,
     /// which answer mutations with a typed `mismatch` error.
     pub(crate) streaming: Option<StreamingState>,
-    /// Whether the loaded file carried quantized weights (approximate
-    /// logits, DESIGN.md §13). Surfaced in `stats`.
-    pub(crate) quantized: bool,
     /// Recommendation binding (bipartite layout + interaction mask);
     /// `None` for node-classification artifacts, which answer `recommend`
     /// with a typed `not_a_recommender` error.
     pub(crate) rec: Option<FrozenRec>,
-}
-
-/// Decide which quantized weights stay compressed (fused into the matmul
-/// panel kernel) versus materialized: a Param slot is fusable iff every
-/// consumer uses it as a matmul right operand and it is not the program
-/// output. Returns the materialized weight table (placeholders for
-/// fully-fused names, so a fused weight never exists as a full f32 matrix)
-/// and the `(op index, matrix)` fusion table.
-fn quant_binding<'w>(
-    ops: &[ProgramOp],
-    output: usize,
-    weights: &'w [(String, FrozenWeight)],
-) -> (Vec<(String, Tensor)>, Vec<(usize, &'w QuantMatrix)>) {
-    let mut fused: Vec<Option<&QuantMatrix>> = vec![None; ops.len()];
-    for (i, op) in ops.iter().enumerate() {
-        if let ProgramOp::Param { name } = op {
-            if let Some((_, FrozenWeight::Quant(q))) = weights.iter().find(|(n, _)| n == name) {
-                fused[i] = Some(q);
-            }
-        }
-    }
-    for op in ops {
-        match op {
-            // The right operand is the one fusable position.
-            ProgramOp::MatMul { a, .. } => fused[*a] = None,
-            _ => {
-                for inp in op.inputs() {
-                    fused[inp] = None;
-                }
-            }
-        }
-    }
-    if let Some(slot) = fused.get_mut(output) {
-        *slot = None;
-    }
-    let quant: Vec<(usize, &QuantMatrix)> =
-        fused.iter().enumerate().filter_map(|(i, q)| q.map(|q| (i, q))).collect();
-    let mats: Vec<(String, Tensor)> = weights
-        .iter()
-        .map(|(n, w)| {
-            let t = match w {
-                FrozenWeight::Exact(t) => t.clone(),
-                FrozenWeight::Quant(q) => {
-                    // Materialize only if some slot of this name escaped
-                    // fusion (e.g. a hand-built program also adds it).
-                    let needed = ops.iter().enumerate().any(|(i, op)| {
-                        matches!(op, ProgramOp::Param { name } if name == n) && fused[i].is_none()
-                    });
-                    if needed {
-                        q.dequantize()
-                    } else {
-                        Tensor::zeros(0, 0)
-                    }
-                }
-            };
-            (n.clone(), t)
-        })
-        .collect();
-    (mats, quant)
 }
 
 impl Engine {
@@ -238,31 +146,9 @@ impl Engine {
     /// carry, or if its output shape contradicts the metadata.
     pub fn new(frozen: FrozenModel) -> ServeResult<Engine> {
         lasagne_obs::span!("serve.engine.load");
-        let quantized = frozen.is_quantized();
-        if quantized && frozen.graph.is_some() {
-            // `FrozenModel::quantize` strips the binding; a file carrying
-            // both would silently degrade the §11 exactness contract.
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not support a streaming graph binding \
-                 (serve the exact f32 artifact for mutations)"
-                    .into(),
-            ));
-        }
-        if quantized && frozen.rec.is_some() {
-            // Same contract for recommendations: `recommend` promises
-            // bitwise parity with the training-path evaluator, which
-            // quantized logits cannot deliver. `quantize` strips the block.
-            return Err(ServeError::Mismatch(
-                "quantized frozen models do not carry a recommendation binding \
-                 (serve the exact f32 artifact for `recommend`)"
-                    .into(),
-            ));
-        }
         let rec = frozen.rec;
         let sparse: Vec<&Csr> = frozen.program.sparse.iter().map(|m| &**m).collect();
-        let (weights, quant) =
-            quant_binding(&frozen.program.ops, frozen.program.output, &frozen.weights);
-        let values = evaluate_ops_with_quant(&frozen.program.ops, &sparse, &weights, &quant)?;
+        let values = evaluate_ops(&frozen.program.ops, &sparse, &frozen.weights)?;
         let logits = values[frozen.program.output].clone();
         if logits.shape() != (frozen.meta.num_nodes, frozen.meta.num_classes) {
             return Err(ServeError::Mismatch(format!(
@@ -274,15 +160,10 @@ impl Engine {
         }
         let probs = logits.softmax_rows();
         let streaming = match frozen.graph {
-            Some(g) => Some(StreamingState::new(frozen.program, g, weights, values)?),
+            Some(g) => Some(StreamingState::new(frozen.program, g, frozen.weights, values)?),
             None => None,
         };
-        Ok(Engine { meta: frozen.meta, logits, probs, streaming, quantized, rec })
-    }
-
-    /// Whether this engine serves approximate (quantized-weight) logits.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
+        Ok(Engine { meta: frozen.meta, logits, probs, streaming, rec })
     }
 
     /// Load + checksum the frozen file at `path` and build its engine —

@@ -25,6 +25,11 @@ pub enum ServeError {
     Mismatch(String),
     /// The frozen program references a weight the file does not carry.
     MissingParam(String),
+    /// A frozen file carries a weight holding a non-finite value.
+    NonFiniteWeight {
+        /// The weight's name.
+        name: String,
+    },
     /// Query for a node id outside the frozen graph.
     UnknownNode {
         /// The requested node id.
@@ -71,9 +76,9 @@ pub enum ServeError {
     /// A client-side read/write deadline elapsed before the server answered.
     Timeout(String),
     /// `recommend` against a model with no recommendation binding (a
-    /// node-classification artifact, a quantized export, or a lazy
-    /// partitioned engine) — refused typed instead of ranking garbage
-    /// class logits as if they were item scores.
+    /// node-classification artifact or a lazy partitioned engine) —
+    /// refused typed instead of ranking garbage class logits as if they
+    /// were item scores.
     NotARecommender {
         /// Why this engine cannot recommend.
         reason: String,
@@ -104,6 +109,7 @@ impl ServeError {
             ServeError::Corrupt(_) => "corrupt",
             ServeError::Mismatch(_) => "mismatch",
             ServeError::MissingParam(_) => "missing_param",
+            ServeError::NonFiniteWeight { .. } => "non_finite_weight",
             ServeError::UnknownNode { .. } => "unknown_node",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::Export(_) => "export",
@@ -130,6 +136,9 @@ impl fmt::Display for ServeError {
             ServeError::Mismatch(m) => write!(f, "mismatch: {m}"),
             ServeError::MissingParam(name) => {
                 write!(f, "frozen program needs parameter '{name}' but the file does not carry it")
+            }
+            ServeError::NonFiniteWeight { name } => {
+                write!(f, "frozen weight '{name}' holds a non-finite value")
             }
             ServeError::UnknownNode { node, num_nodes } => {
                 write!(f, "unknown node {node} (frozen graph has {num_nodes} nodes)")

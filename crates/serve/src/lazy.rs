@@ -12,8 +12,7 @@
 //! every row served is bitwise identical to the resident engine's row
 //! (pinned by `tests/partition_equiv.rs`). Programs that cannot honor that
 //! contract row-locally (GAT's graph-global attention softmax) are refused
-//! typed at load time, as are quantized artifacts (the fused panel kernel
-//! is a whole-matrix path) and streaming mutations (the caches would go
+//! typed at load time, as are streaming mutations (the caches would go
 //! silently stale).
 
 use std::sync::OnceLock;
@@ -80,14 +79,6 @@ impl LazyEngine {
     /// node ranges — the exactness contract is independent of the layout.
     pub fn new(frozen: FrozenModel, k: usize) -> ServeResult<LazyEngine> {
         lasagne_obs::span!("serve.engine.lazy_load");
-        if frozen.is_quantized() {
-            return Err(ServeError::Mismatch(
-                "quantized frozen models cannot be served partition-lazily \
-                 (the fused dequantizing matmul is a whole-matrix kernel); \
-                 serve the exact f32 artifact"
-                    .into(),
-            ));
-        }
         let n = frozen.meta.num_nodes;
         if k < 1 || k > n.max(1) {
             return Err(ServeError::Mismatch(format!(
@@ -112,8 +103,7 @@ impl LazyEngine {
                 pos_in_part[v] = pos as u32;
             }
         }
-        let weights: Vec<(String, Tensor)> =
-            frozen.weights.iter().map(|(name, w)| (name.clone(), w.to_tensor())).collect();
+        let weights = frozen.weights;
         let ops = frozen.program.ops;
         let sparse: Vec<Csr> = frozen
             .program

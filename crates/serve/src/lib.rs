@@ -50,7 +50,6 @@ mod export;
 mod frozen;
 mod lazy;
 mod protocol;
-mod quant;
 mod server;
 mod streaming;
 
@@ -59,12 +58,11 @@ pub use engine::{evaluate_program, Engine, Prediction};
 pub use lazy::LazyEngine;
 pub use error::{ServeError, ServeResult};
 pub use export::{freeze, freeze_rec};
-pub use frozen::{FrozenGraph, FrozenMeta, FrozenModel, FrozenRec, FrozenWeight, SparseKind};
+pub use frozen::{FrozenGraph, FrozenMeta, FrozenModel, FrozenRec, SparseKind};
 pub use protocol::{
     debug_sleep_response, error_response, error_response_versioned, health_response,
     mutation_response, predict_response, recommend_response, shutdown_response, stats_response,
     swap_response, top_k_response, Request, StatsSnapshot,
 };
-pub use quant::{QuantMatrix, QuantMode};
 pub use server::{Server, ServerConfig, ServerEngine};
 pub use streaming::{Mutation, MutationReport, DEFAULT_COMPACT_EVERY};

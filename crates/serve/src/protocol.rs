@@ -232,9 +232,6 @@ pub struct StatsSnapshot {
     pub model_version: u64,
     /// Live client connections (including the one asking).
     pub connections: u64,
-    /// Whether the installed model serves approximate (quantized-weight)
-    /// logits rather than the exact f32 path (DESIGN.md §13).
-    pub quantized: bool,
 }
 
 fn ok_head() -> (String, Json) {
@@ -341,7 +338,6 @@ pub fn stats_response(s: &StatsSnapshot) -> String {
         ("swaps".into(), Json::Num(s.swaps as f64)),
         version_field(s.model_version),
         ("connections".into(), Json::Num(s.connections as f64)),
-        ("quantized".into(), Json::Bool(s.quantized)),
     ])
     .to_string()
 }

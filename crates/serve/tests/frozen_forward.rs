@@ -13,13 +13,14 @@
 
 use std::rc::Rc;
 
-use lasagne_autograd::{Adam, Optimizer, Tape};
+use lasagne_autograd::{Adam, Optimizer, ParamId, Tape};
 use lasagne_core::{AggregatorKind, Lasagne, LasagneConfig};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_graph::generators::{bipartite_user_item, dc_sbm, BipartiteConfig, DcSbmConfig};
-use lasagne_serve::{freeze, Engine, FrozenModel};
+use lasagne_serve::{freeze, Engine, FrozenModel, ServeError};
 use lasagne_sparse::EdgeData;
 use lasagne_tensor::{Tensor, TensorRng};
+use lasagne_testkit::Json;
 
 const IN_DIM: usize = 6;
 const CLASSES: usize = 3;
@@ -281,4 +282,84 @@ fn same_model_exports_byte_identical_files() {
     assert_eq!(bytes_a, bytes_b, "export must be byte-deterministic");
     let _ = std::fs::remove_file(a);
     let _ = std::fs::remove_file(b);
+}
+
+/// The fields of weight entry `i` in a frozen-model body.
+fn weight_entry(body: &mut Json, i: usize) -> &mut Vec<(String, Json)> {
+    let Json::Obj(fields) = body else { panic!("body is an object") };
+    let Some((_, Json::Arr(weights))) = fields.iter_mut().find(|(k, _)| k == "weights") else {
+        panic!("body carries a weights array")
+    };
+    let Json::Obj(entry) = &mut weights[i] else { panic!("weight entry is an object") };
+    entry
+}
+
+#[test]
+fn non_finite_weights_are_refused_at_freeze_and_load() {
+    let (ctx, _) = tiny_ctx(11);
+
+    // Freeze refuses a non-finite trained weight, naming it.
+    for bad in [f32::NAN, f32::INFINITY] {
+        let mut model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 5);
+        let id = ParamId::from_index(0);
+        let name = model.store().name(id).to_string();
+        model.store_mut().value_mut(id).as_mut_slice()[0] = bad;
+        match freeze(&model, &ctx, "tiny") {
+            Err(ServeError::Export(msg)) => assert!(msg.contains(&name), "{msg}"),
+            other => panic!("freeze with a {bad} weight: expected Export, got {:?}", other.err()),
+        }
+    }
+
+    // Load refuses one that reached disk: the codec writes it as `null`.
+    let model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 5);
+    let clean = freeze(&model, &ctx, "tiny").expect("freeze");
+    let mut doctored = clean.clone();
+    doctored.weights[0].1.as_mut_slice()[0] = f32::NAN;
+    let name = doctored.weights[0].0.clone();
+    let path = temp_path("non-finite");
+    doctored.save(&path).expect("save");
+    match FrozenModel::load(&path) {
+        Err(ServeError::NonFiniteWeight { name: got }) => assert_eq!(got, name),
+        other => panic!("load of a null weight: expected NonFiniteWeight, got {:?}", other.err()),
+    }
+    let _ = std::fs::remove_file(path);
+
+    // And a literal beyond f32 range, which would narrow to inf.
+    let mut body = clean.to_json();
+    let entry = weight_entry(&mut body, 0);
+    let Some((_, Json::Arr(data))) = entry.iter_mut().find(|(k, _)| k == "data") else {
+        panic!("weight entry carries a data array")
+    };
+    data[0] = Json::Num(1e39);
+    match FrozenModel::from_json(&body) {
+        Err(ServeError::NonFiniteWeight { name: got }) => assert_eq!(got, name),
+        other => panic!("1e39 weight: expected NonFiniteWeight, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn legacy_quantized_weights_are_refused_typed() {
+    let (ctx, _) = tiny_ctx(11);
+    let model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 5);
+    let frozen = freeze(&model, &ctx, "tiny").expect("freeze");
+    let (name, w) = &frozen.weights[0];
+    let (rows, cols) = w.shape();
+    // An i8 entry as older exports wrote it: per-row scales and a
+    // lowercase-hex payload of rows × cols bytes in place of `data`.
+    let mut body = frozen.to_json();
+    *weight_entry(&mut body, 0) = vec![
+        ("name".into(), Json::Str(name.clone())),
+        ("quant".into(), Json::Str("i8".into())),
+        ("rows".into(), Json::Num(rows as f64)),
+        ("cols".into(), Json::Num(cols as f64)),
+        ("scales".into(), Json::from_f32s(vec![0.01; rows])),
+        ("data".into(), Json::Str("00".repeat(rows * cols))),
+    ];
+    match FrozenModel::from_json(&body) {
+        Err(ServeError::Mismatch(msg)) => {
+            assert!(msg.contains(name.as_str()), "{msg}");
+            assert!(msg.contains("--export"), "{msg}");
+        }
+        other => panic!("quantized entry: expected Mismatch, got {:?}", other.err()),
+    }
 }

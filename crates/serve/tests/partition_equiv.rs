@@ -4,14 +4,14 @@
 //! forward, for GCN and all four Lasagne aggregators, at 1 and 4 threads
 //! and across partition counts. Laziness itself is observable (partitions
 //! materialize only when queried), and everything the lazy engine cannot
-//! serve exactly is refused typed: non-row-local programs (GAT), quantized
-//! artifacts, streaming mutations, bad partition counts.
+//! serve exactly is refused typed: non-row-local programs (GAT), streaming
+//! mutations, bad partition counts.
 
 use lasagne_autograd::Tape;
 use lasagne_core::{AggregatorKind, Lasagne, LasagneConfig};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
-use lasagne_serve::{freeze, Engine, LazyEngine, Mutation, QuantMode, ServeError};
+use lasagne_serve::{freeze, Engine, LazyEngine, Mutation, ServeError};
 use lasagne_tensor::TensorRng;
 
 const IN_DIM: usize = 6;
@@ -163,20 +163,6 @@ fn everything_inexact_is_refused_typed() {
 
     let model = models::Gcn::new(IN_DIM, CLASSES, &tiny_hyper(), 3);
     let frozen = freeze(&model, &ctx, "tiny").expect("freeze");
-
-    // Quantized artifacts: the fused panel kernel is whole-matrix. (Wider
-    // hidden layer so the weights clear the quantizer's size floor.)
-    let wide = models::Gcn::new(IN_DIM, CLASSES, &Hyper { hidden: 16, ..tiny_hyper() }, 3);
-    let quantized = freeze(&wide, &ctx, "tiny")
-        .expect("freeze wide")
-        .quantize(QuantMode::I8)
-        .expect("quantize");
-    match LazyEngine::new(quantized, 3) {
-        Err(ServeError::Mismatch(msg)) => {
-            assert!(msg.contains("quantized"), "unexpected message: {msg}")
-        }
-        other => panic!("expected typed quantized refusal, got {:?}", other.err()),
-    }
 
     // Bad partition counts.
     for k in [0usize, 1000] {

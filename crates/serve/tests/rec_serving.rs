@@ -6,9 +6,8 @@
 //! 2. The `rec` block survives save → load byte-deterministically.
 //! 3. Every misuse fails typed: items and out-of-range ids are
 //!    `unknown_user`, a fully-masked user is `no_candidates`, a
-//!    node-classification artifact is `not_a_recommender`, `k = 0` is a
-//!    `bad_request` at the protocol layer, and `quantize` strips the
-//!    binding rather than serving approximate scores as exact.
+//!    node-classification artifact is `not_a_recommender`, and `k = 0` is
+//!    a `bad_request` at the protocol layer.
 //! 4. The wire path (`recommend` verb over a live TCP server) agrees with
 //!    the in-process engine and enforces the same typed errors.
 
@@ -18,8 +17,8 @@ use lasagne_autograd::{Adam, Optimizer, Tape};
 use lasagne_datasets::{dot_score, sort_ranked, RecConfig, RecDataset};
 use lasagne_gnn::{models, GraphContext, Hyper, Mode, NodeClassifier};
 use lasagne_serve::{
-    freeze, freeze_rec, Client, Engine, FrozenModel, FrozenRec, QuantMode, Request, ServeError,
-    Server, ServerConfig,
+    freeze, freeze_rec, Client, Engine, FrozenModel, FrozenRec, Request, ServeError, Server,
+    ServerConfig,
 };
 use lasagne_sparse::Csr;
 use lasagne_tensor::TensorRng;
@@ -30,7 +29,6 @@ fn small_cfg() -> RecConfig {
         items: 60,
         users: 40,
         classes: 4,
-        // 16×4 first-layer weight keeps `quantize` eligible (≥ 64 elems).
         features: 16,
         avg_user_degree: 4.0,
         time_buckets: 6,
@@ -218,32 +216,6 @@ fn recommend_fails_typed_on_misuse() {
     assert!(!plain.is_recommender());
     let err = plain.recommend(ds.items, 5).expect_err("must refuse");
     assert_eq!(err.kind(), "not_a_recommender");
-}
-
-#[test]
-fn quantize_strips_the_rec_block() {
-    let ds = RecDataset::generate(&small_cfg(), 7);
-    let ctx = rec_ctx(&ds);
-    let model = trained_model(&ds, &ctx);
-    let frozen = freeze_rec(&model, &ctx, "rec-tiny", frozen_rec_block(&ds)).expect("freeze_rec");
-    let quantized = frozen.quantize(QuantMode::I8).expect("quantize");
-    let engine = Engine::new(quantized).expect("quantized engine");
-    assert!(!engine.is_recommender(), "quantize must drop the rec binding");
-    assert_eq!(
-        engine.recommend(ds.items, 5).expect_err("must refuse").kind(),
-        "not_a_recommender"
-    );
-    // A hand-crafted file carrying both quantized weights and a rec block
-    // is refused at load — approximate scores must never serve as exact.
-    let mut doctored =
-        freeze_rec(&model, &ctx, "rec-tiny", frozen_rec_block(&ds)).expect("freeze_rec");
-    doctored = doctored.quantize(QuantMode::I8).expect("quantize");
-    doctored.rec = Some(frozen_rec_block(&ds));
-    let err = match Engine::new(doctored) {
-        Err(e) => e,
-        Ok(_) => panic!("quantized + rec file must be refused at load"),
-    };
-    assert_eq!(err.kind(), "mismatch");
 }
 
 #[test]

@@ -39,6 +39,13 @@ LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
 
+echo "== autograd: gradcheck, random programs, partitioned eval at 1 and 4 threads =="
+# Includes the randomized property that partitioned evaluation of random
+# graph programs is bitwise the tape forward over random partition covers
+# (DESIGN.md §14), plus the peval unit tests.
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-autograd
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-autograd
+
 echo "== gradcheck sweeps (13 baselines + Lasagne aggregators + GC-FM) =="
 cargo test -q --offline -p lasagne-gnn --test gradcheck_models
 cargo test -q --offline -p lasagne-core --test gradcheck_lasagne
@@ -95,33 +102,6 @@ cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --shutdown --addr 127.0.0.1:17878
 wait "$SERVE_PID"
-
-echo "== serve: quantized export + serve smoke (opt-in path, DESIGN.md 13) =="
-# The i8 artifact must be byte-deterministic, strictly smaller than the
-# exact f32 artifact, refused by a plain `serve`, and served cleanly under
-# `serve --quantized` (protocol check included). The logit-tolerance and
-# bitwise fused-kernel contracts are covered by the dedicated suite.
-cargo test -q --offline -p lasagne-serve --test quantized
-cargo run --release --offline --bin lasagne-cli -- \
-    cora gcn --epochs 3 --export-quantized target/verify_quant_a.json > /dev/null
-cargo run --release --offline --bin lasagne-cli -- \
-    cora gcn --epochs 3 --export-quantized target/verify_quant_b.json > /dev/null
-cmp target/verify_quant_a.json target/verify_quant_b.json
-F32_BYTES=$(wc -c < target/verify_frozen_a.json)
-QUANT_BYTES=$(wc -c < target/verify_quant_a.json)
-test "$QUANT_BYTES" -lt "$F32_BYTES"
-if cargo run --release --offline --bin lasagne-cli -- \
-    serve --frozen target/verify_quant_a.json --port 17880 > /dev/null 2>&1; then
-  echo "serving a quantized artifact without --quantized must be refused"; exit 1
-fi
-cargo run --release --offline --bin lasagne-cli -- \
-    serve --frozen target/verify_quant_a.json --quantized --port 17880 > /dev/null &
-QUANT_PID=$!
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --check --addr 127.0.0.1:17880
-cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
-    --shutdown --addr 127.0.0.1:17880
-wait "$QUANT_PID"
 
 echo "== serve bench smoke (in-process server, 1/8/64 clients, saturation knee, JSON artifact) =="
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \

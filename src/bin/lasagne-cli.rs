@@ -51,8 +51,6 @@ struct Args {
     data_seed: u64,
     save: Option<std::path::PathBuf>,
     export: Option<std::path::PathBuf>,
-    export_quantized: Option<std::path::PathBuf>,
-    quant_mode: lasagne_serve::QuantMode,
     resume: Option<std::path::PathBuf>,
     max_recoveries: Option<usize>,
     clip_norm: Option<f32>,
@@ -71,9 +69,8 @@ const MODELS: &[&str] = &[
 fn usage() -> ! {
     eprintln!("usage: lasagne-cli <dataset> <model> [--depth N] [--seeds N] [--epochs N] [--data-seed N] [--save PATH]");
     eprintln!("                   [--resume PATH] [--max-recoveries N] [--clip-norm X] [--threads N] [--export PATH]");
-    eprintln!("                   [--export-quantized PATH] [--quant-mode i8|f16]");
     eprintln!("                   [--trace-out PATH] [--trace-summary] [--trace-deterministic]");
-    eprintln!("       lasagne-cli serve --frozen PATH [--quantized] [--partitions K] [--port N] [--host ADDR] [--max-batch N] [--compact-every N]");
+    eprintln!("       lasagne-cli serve --frozen PATH [--partitions K] [--port N] [--host ADDR] [--max-batch N] [--compact-every N]");
     eprintln!("                  [--queue-capacity N] [--deadline-ms N] [--max-conns N] [--max-request-bytes N] [--idle-timeout-ms N]");
     eprintln!("       lasagne-cli rec [--epochs N] [--seed N] [--k N] [--export PATH] [--threads N]");
     eprintln!("       lasagne-cli --list");
@@ -102,7 +99,6 @@ fn unknown_flag(flag: &str) -> ! {
 /// `lasagne-cli serve ...` settings.
 struct ServeArgs {
     frozen: std::path::PathBuf,
-    quantized: bool,
     partitions: Option<usize>,
     host: String,
     port: u16,
@@ -118,7 +114,6 @@ struct ServeArgs {
 
 fn parse_serve_args(argv: &[String]) -> ServeArgs {
     let mut frozen: Option<std::path::PathBuf> = None;
-    let mut quantized = false;
     let mut partitions: Option<usize> = None;
     let mut host = "127.0.0.1".to_string();
     let mut port: u16 = 7878;
@@ -134,12 +129,6 @@ fn parse_serve_args(argv: &[String]) -> ServeArgs {
     let mut i = 0;
     while i < argv.len() {
         let flag = argv[i].as_str();
-        // Boolean flags take no value.
-        if flag == "--quantized" {
-            quantized = true;
-            i += 1;
-            continue;
-        }
         let value = argv.get(i + 1).unwrap_or_else(|| missing_value(flag));
         match flag {
             "--frozen" => frozen = Some(value.into()),
@@ -205,7 +194,6 @@ fn parse_serve_args(argv: &[String]) -> ServeArgs {
     };
     ServeArgs {
         frozen,
-        quantized,
         partitions,
         host,
         port,
@@ -230,19 +218,6 @@ fn run_serve(args: ServeArgs) -> ! {
         eprintln!("error: cannot load frozen model: {e}");
         std::process::exit(1);
     });
-    // Quantized artifacts serve approximate logits; require the explicit
-    // opt-in so nobody degrades the exactness contract by accident.
-    if frozen.is_quantized() && !args.quantized {
-        eprintln!(
-            "error: {} carries quantized weights (approximate logits); \
-             pass --quantized to serve it, or export an exact artifact with --export",
-            args.frozen.display()
-        );
-        std::process::exit(1);
-    }
-    if args.quantized && !frozen.is_quantized() {
-        println!("note: --quantized given but {} is an exact f32 artifact; serving exact logits", args.frozen.display());
-    }
     println!(
         "loaded {} on {} ({} nodes, {} classes, {} weight tensors)",
         frozen.meta.model,
@@ -467,8 +442,6 @@ fn parse_args() -> Args {
         data_seed: 0,
         save: None,
         export: None,
-        export_quantized: None,
-        quant_mode: lasagne_serve::QuantMode::I8,
         resume: None,
         max_recoveries: None,
         clip_norm: None,
@@ -504,11 +477,6 @@ fn parse_args() -> Args {
             }
             "--save" => args.save = Some(value.into()),
             "--export" => args.export = Some(value.into()),
-            "--export-quantized" => args.export_quantized = Some(value.into()),
-            "--quant-mode" => {
-                args.quant_mode = lasagne_serve::QuantMode::parse(value)
-                    .unwrap_or_else(|| bad_value(flag, value))
-            }
             "--resume" => args.resume = Some(value.into()),
             "--max-recoveries" => {
                 args.max_recoveries = Some(value.parse().unwrap_or_else(|_| bad_value(flag, value)))
@@ -691,21 +659,5 @@ fn main() {
             std::process::exit(1);
         }
         println!("exported frozen model of the last seed to {}", path.display());
-    }
-
-    if let Some(path) = args.export_quantized {
-        let mode = args.quant_mode;
-        let result = freeze(model.as_ref(), &ctx, ds.spec.name)
-            .and_then(|f| f.quantize(mode))
-            .and_then(|f| f.save(&path));
-        if let Err(e) = result {
-            eprintln!("error: failed to export quantized frozen model: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "exported {}-quantized frozen model of the last seed to {}",
-            mode.as_str(),
-            path.display()
-        );
     }
 }

@@ -58,3 +58,17 @@ fn serve_rejects_bad_port() {
     let err = stderr(&out);
     assert!(err.contains("--port: invalid value '99999'"), "got:\n{err}");
 }
+
+#[test]
+fn quantization_flags_are_unknown() {
+    for (flag, args) in [
+        ("--export-quantized", &["cora", "gcn", "--export-quantized", "q.json"][..]),
+        ("--quant-mode", &["cora", "gcn", "--quant-mode", "i8"][..]),
+        ("--quantized", &["serve", "--quantized", "--frozen", "x.json"][..]),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown flag '{flag}'")), "got:\n{err}");
+    }
+}
