@@ -9,7 +9,7 @@
 //! tensors, a deduplicated table of sparse operators, and parameter leaves
 //! referenced **by name** (bound to a weight table at load time).
 //!
-//! The program's evaluator (`lasagne-serve`) calls the exact same
+//! The program's interpreter ([`crate::RowPlan`]) calls the exact same
 //! `lasagne-tensor` / `lasagne-sparse` kernels the tape constructors call,
 //! in the same order, so a frozen forward is bitwise-identical to the
 //! training-path eval forward at any thread count.
@@ -131,35 +131,9 @@ pub enum ProgramOp {
 }
 
 impl ProgramOp {
-    /// Indices of the instructions this op reads.
+    /// Indices of the instructions this op reads, in operand order.
     pub fn inputs(&self) -> Vec<usize> {
-        use ProgramOp::*;
-        match self {
-            Constant { .. } | Param { .. } => Vec::new(),
-            MatMul { a, b } | Add { a, b } | Sub { a, b } | Mul { a, b } | Div { a, b } => {
-                vec![*a, *b]
-            }
-            SpMM { x, .. }
-            | Scale { x, .. }
-            | AddConst { x, .. }
-            | Pow { x, .. }
-            | Exp { x }
-            | Relu { x }
-            | LeakyRelu { x, .. }
-            | Sigmoid { x }
-            | Tanh { x }
-            | LogSoftmax { x }
-            | SliceCols { x, .. }
-            | GatherRows { x, .. }
-            | SumAll { x }
-            | SumRows { x }
-            | SumCols { x } => vec![*x],
-            AddRowBroadcast { x, b } => vec![*x, *b],
-            AddColBroadcast { x, c } | MulColBroadcast { x, c } => vec![*x, *c],
-            MulScalarNode { x, s } => vec![*x, *s],
-            ConcatCols { parts } | MaxStack { parts } => parts.clone(),
-            GatAggregate { z, ssrc, sdst, .. } => vec![*z, *ssrc, *sdst],
-        }
+        crate::peval::reads(self).iter().filter_map(crate::peval::Read::input).collect()
     }
 }
 

@@ -143,9 +143,10 @@ prop_check! {
 // any kernel whose bits depended on operand density would fail here.
 // `scripts/verify.sh` runs this suite at LASAGNE_THREADS=1 and 4.
 
-use lasagne_autograd::{evaluate_program_partitioned, ParamId, RowPlan};
+use lasagne_autograd::{evaluate_program_partitioned, ParamId, Program, RowPlan};
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
+use lasagne_testkit::prop::Config;
 use std::rc::Rc;
 
 /// One layer of a random graph program over `n × h` node features.
@@ -157,18 +158,78 @@ enum GraphStep {
     Add(usize, usize),
     ConcatProject(usize, usize),
     MaxStack(usize, usize),
+    /// `x − mean_rows(x)`: reads its operand whole (not row-local).
+    Center(usize),
 }
 
-fn graph_step_gen() -> OneOf<GraphStep> {
+type StepGen = Box<dyn Fn(&mut Rng) -> GraphStep>;
+
+/// Row-local graph steps, plus [`GraphStep::Center`] when `with_center`.
+fn graph_step_gen(with_center: bool) -> OneOf<GraphStep> {
     let pair = |rng: &mut Rng| (rng.index(100), rng.index(100));
-    OneOf::new(vec![
+    let mut steps: Vec<StepGen> = vec![
         Box::new(|rng: &mut Rng| GraphStep::Propagate(rng.index(100))),
         Box::new(|rng: &mut Rng| GraphStep::Project(rng.index(100))),
         Box::new(|rng: &mut Rng| GraphStep::Relu(rng.index(100))),
         Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::Add(a, b) }),
         Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::ConcatProject(a, b) }),
         Box::new(move |rng: &mut Rng| { let (a, b) = pair(rng); GraphStep::MaxStack(a, b) }),
-    ])
+    ];
+    if with_center {
+        steps.push(Box::new(|rng: &mut Rng| GraphStep::Center(rng.index(100))));
+    }
+    OneOf::new(steps)
+}
+
+/// Record `steps` on a tape over `n × h` features `x` and the sparse
+/// operator `adj`, then export it. Returns the program, its weight table
+/// and the bits of the tape's forward value.
+fn record_graph_program(
+    steps: &[GraphStep],
+    x: Tensor,
+    adj: &Rc<Csr>,
+    trng: &mut TensorRng,
+) -> (Program, Vec<(String, Tensor)>, Vec<u32>) {
+    let (n, h) = x.shape();
+    let mut store = ParamStore::new();
+    let mut weight_ids: Vec<ParamId> = Vec::new();
+    let mut tape = Tape::new();
+    let mut nodes = vec![tape.constant(x)];
+    for (s, step) in steps.iter().enumerate() {
+        let len = nodes.len();
+        let pick = |i: &usize| nodes[i % len];
+        let mut project = |tape: &mut Tape, x: NodeId, rows: usize| {
+            let w = store.add(format!("w{s}"), trng.uniform_tensor(rows, h, -0.8, 0.8));
+            weight_ids.push(w);
+            let wn = tape.param(w, &store);
+            tape.matmul(x, wn)
+        };
+        let out = match step {
+            GraphStep::Propagate(a) => tape.spmm(Rc::clone(adj), pick(a)),
+            GraphStep::Project(a) => project(&mut tape, pick(a), h),
+            GraphStep::Relu(a) => tape.relu(pick(a)),
+            GraphStep::Add(a, b) => tape.add(pick(a), pick(b)),
+            GraphStep::ConcatProject(a, b) => {
+                let cat = tape.concat_cols(&[pick(a), pick(b)]);
+                project(&mut tape, cat, 2 * h)
+            }
+            GraphStep::MaxStack(a, b) => tape.max_stack(&[pick(a), pick(b)]),
+            GraphStep::Center(a) => {
+                let sum = tape.sum_rows(pick(a));
+                let neg_mean = tape.scale(sum, -1.0 / n as f32);
+                tape.add_row_broadcast(pick(a), neg_mean)
+            }
+        };
+        nodes.push(out);
+    }
+    let out = *nodes.last().expect("non-empty");
+    let want = bits(tape.value(out));
+    let program = tape.export_program(&store, out).expect("export");
+    let weights: Vec<(String, Tensor)> = weight_ids
+        .iter()
+        .map(|&id| (store.name(id).to_string(), store.value(id).clone()))
+        .collect();
+    (program, weights, want)
 }
 
 /// A random cover of `0..n` by `k` non-empty parts (rows in each part
@@ -195,7 +256,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 prop_check! {
     cases = 64,
     fn partitioned_eval_matches_tape_forward_bitwise(
-        steps in vec_of(graph_step_gen(), 1..10),
+        steps in vec_of(graph_step_gen(false), 1..10),
         seed in 0u64..1_000_000,
     ) {
         let mut rng = Rng::seed_from_u64(seed);
@@ -221,39 +282,7 @@ prop_check! {
             x.as_mut_slice()[r * h..(r + 1) * h].fill(0.0);
         }
 
-        let mut store = ParamStore::new();
-        let mut weight_ids: Vec<ParamId> = Vec::new();
-        let mut tape = Tape::new();
-        let mut nodes = vec![tape.constant(x)];
-        for (s, step) in steps.iter().enumerate() {
-            let len = nodes.len();
-            let pick = |i: &usize| nodes[i % len];
-            let mut project = |tape: &mut Tape, x: NodeId, rows: usize| {
-                let w = store.add(format!("w{s}"), trng.uniform_tensor(rows, h, -0.8, 0.8));
-                weight_ids.push(w);
-                let wn = tape.param(w, &store);
-                tape.matmul(x, wn)
-            };
-            let out = match step {
-                GraphStep::Propagate(a) => tape.spmm(Rc::clone(&adj), pick(a)),
-                GraphStep::Project(a) => project(&mut tape, pick(a), h),
-                GraphStep::Relu(a) => tape.relu(pick(a)),
-                GraphStep::Add(a, b) => tape.add(pick(a), pick(b)),
-                GraphStep::ConcatProject(a, b) => {
-                    let cat = tape.concat_cols(&[pick(a), pick(b)]);
-                    project(&mut tape, cat, 2 * h)
-                }
-                GraphStep::MaxStack(a, b) => tape.max_stack(&[pick(a), pick(b)]),
-            };
-            nodes.push(out);
-        }
-        let out = *nodes.last().expect("non-empty");
-        let want = bits(tape.value(out));
-        let program = tape.export_program(&store, out).expect("export");
-        let weights: Vec<(String, Tensor)> = weight_ids
-            .iter()
-            .map(|&id| (store.name(id).to_string(), store.value(id).clone()))
-            .collect();
+        let (program, weights, want) = record_graph_program(&steps, x, &adj, &mut trng);
 
         let plan = RowPlan::new(&program, &weights).expect("graph programs are row-local");
         let all: Vec<usize> = (0..n).collect();
@@ -267,4 +296,122 @@ prop_check! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Incremental evaluation ≡ cold evaluation over random graph programs.
+//
+// Each case records a random graph program (the steps above plus `Center`,
+// which reads its operand whole, between a first and two last propagations)
+// over the symmetric normalization of a
+// random symmetric adjacency, evaluates it with every row cached, toggles
+// one random undirected edge, and hands the dirty-rows driver the rows in
+// which the normalized operator changed. The patched cache must be `to_bits`
+// a cold all-rows evaluation against the new operator. A case where the
+// driver asks for the full path (a dirty `Center` operand) passes if the
+// cache is left untouched; at least half the cases must take the
+// incremental path. Features zero a random subset of rows, so a dirty
+// row subset's density differs from the whole operand's.
+
+/// `D^{-1/2} A D^{-1/2}` of the symmetric adjacency `edges` (self loops
+/// included), positive weights so every degree is positive.
+fn normalized(n: usize, edges: &std::collections::BTreeMap<(u32, u32), f32>) -> Rc<Csr> {
+    let coo: Vec<(u32, u32, f32)> = edges.iter().map(|(&(i, j), &w)| (i, j, w)).collect();
+    Rc::new(Csr::from_coo(n, n, &coo).sym_normalize())
+}
+
+/// A whole-graph plan of `program` with every sparse slot bound to `m`.
+fn resident<'a>(program: &'a Program, m: &'a Csr, weights: &'a [(String, Tensor)]) -> RowPlan<'a> {
+    let sparse = program.sparse.iter().map(|_| m).collect();
+    RowPlan::resident(&program.ops, sparse, weights, program.output).expect("plan")
+}
+
+fn cache_bits(cache: &[Option<Tensor>]) -> Vec<Option<Vec<u32>>> {
+    cache.iter().map(|v| v.as_ref().map(bits)).collect()
+}
+
+#[test]
+fn dirty_rows_patch_matches_cold_evaluation_bitwise() {
+    let (cases, incremental) = (std::cell::Cell::new(0usize), std::cell::Cell::new(0usize));
+    let gen = (vec_of(graph_step_gen(true), 1..10), 0u64..1_000_000);
+    let (name, cfg) = ("dirty_rows_patch_matches_cold_evaluation_bitwise", Config::cases(64));
+    lasagne_testkit::prop::check(name, &cfg, &gen, |value| {
+        let (steps, seed) = value.clone();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut trng = TensorRng::seed_from_u64(seed);
+        let n = rng.range_usize(8, 120);
+        let h = rng.range_usize(2, 7);
+
+        let mut edges = std::collections::BTreeMap::new();
+        for i in 0..n as u32 {
+            edges.insert((i, i), rng.range_f32(0.1, 1.0));
+            for _ in 0..rng.range_usize(0, 3) {
+                let j = rng.index(n) as u32;
+                let w = rng.range_f32(0.1, 1.0);
+                edges.insert((i, j), w);
+                edges.insert((j, i), w);
+            }
+        }
+        let before = normalized(n, &edges);
+        let mut x = trng.uniform_tensor(n, h, -1.0, 1.0);
+        for r in 0..n {
+            if rng.index(3) == 0 {
+                x.as_mut_slice()[r * h..(r + 1) * h].fill(0.0);
+            }
+        }
+        // Propagate the features first and the result twice last, so every
+        // program carries a dirty set across at least two SpMM hops.
+        let k = steps.len() + 1;
+        let steps: Vec<GraphStep> = std::iter::once(GraphStep::Propagate(0))
+            .chain(steps)
+            .chain([GraphStep::Propagate(k), GraphStep::Propagate(k + 1)])
+            .collect();
+        let (program, weights, _) = record_graph_program(&steps, x, &before, &mut trng);
+        let mut cache = resident(&program, &before, &weights).eval_all();
+
+        // Toggle one undirected edge between distinct nodes.
+        let u = rng.index(n) as u32;
+        let v = (u + 1 + rng.index(n - 1) as u32) % n as u32;
+        if edges.remove(&(u, v)).is_some() {
+            edges.remove(&(v, u));
+        } else {
+            let w = rng.range_f32(0.1, 1.0);
+            edges.insert((u, v), w);
+            edges.insert((v, u), w);
+        }
+        let after = normalized(n, &edges);
+        let changed: Vec<usize> = (0..n)
+            .filter(|&r| {
+                before.row_indices(r) != after.row_indices(r)
+                    || bits_of(before.row_values(r)) != bits_of(after.row_values(r))
+            })
+            .collect();
+        let seeds = vec![changed; program.sparse.len()];
+
+        let cached = cache_bits(&cache);
+        let cold = cache_bits(&resident(&program, &after, &weights).eval_all());
+        cases.set(cases.get() + 1);
+        match resident(&program, &after, &weights).eval_dirty(&mut cache, &seeds, |_, _| false) {
+            Some(_) => {
+                incremental.set(incremental.get() + 1);
+                prop_assert!(cache_bits(&cache) == cold, "patched cache differs: {steps:?}");
+            }
+            None => prop_assert!(cache_bits(&cache) == cached, "full path touched the cache"),
+        }
+        Ok(())
+    });
+    // A single replayed case (LASAGNE_PROP_SEED) proves nothing about the
+    // ratio; a full run must mostly take the incremental path.
+    if cases.get() > 1 {
+        assert!(
+            incremental.get() * 2 >= cases.get(),
+            "only {} of {} cases took the incremental path",
+            incremental.get(),
+            cases.get()
+        );
+    }
+}
+
+fn bits_of(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }

@@ -9,7 +9,7 @@
 //! program, then either
 //!
 //! * **resident**: evaluates the whole program at once through
-//!   [`lasagne_serve::evaluate_program`] — every intermediate is a full
+//!   [`lasagne_autograd::RowPlan::eval_all`] — every intermediate is a full
 //!   `N×H` tensor, the O(graph) memory profile every pre-partitioning code
 //!   path has; or
 //! * **partitioned**: plans once with [`lasagne_autograd::RowPlan`] and
@@ -187,14 +187,10 @@ fn build_workload(nodes: usize) -> Workload {
 
 /// Resident cell: whole-program evaluation, every intermediate N rows tall.
 fn run_resident(w: &Workload) -> (f64, f32) {
-    let program = lasagne_autograd::Program {
-        ops: w.ops.clone(),
-        sparse: vec![std::rc::Rc::new(w.ahat.clone())],
-        output: w.output,
-    };
+    let plan = RowPlan::resident(&w.ops, vec![&w.ahat], &w.weights, w.output)
+        .unwrap_or_else(|e| fail(&format!("resident plan: {e}")));
     let eval = Instant::now();
-    let logits = lasagne_serve::evaluate_program(&program, &w.weights)
-        .unwrap_or_else(|e| fail(&format!("resident evaluation: {e}")));
+    let logits = plan.eval_all().swap_remove(w.output).expect("output evaluated");
     let seconds = eval.elapsed().as_secs_f64();
     assert_eq!(logits.shape(), (w.nodes, CLASSES), "resident output shape");
     (seconds, logits.get(w.nodes - 1, 0))

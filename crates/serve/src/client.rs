@@ -30,7 +30,11 @@ impl Client {
     /// failures, jitter drawn in `[0, 1)` from the deterministic testkit
     /// PRNG seeded with `seed` (so retry schedules are replayable in tests
     /// yet fleet-decorrelated by distinct seeds). This replaces
-    /// connect-or-die for callers racing a server that is still binding.
+    /// connect-or-die for callers racing a server that is still binding,
+    /// or one at its connection cap: a TCP accept is not admission (the
+    /// acceptor refuses over the accepted socket), so each attempt confirms
+    /// admission with a `health` round trip, and a `too_many_connections`
+    /// refusal or a connection closed mid-round-trip counts as a failure.
     pub fn connect_with_retry(
         addr: &str,
         attempts: usize,
@@ -40,7 +44,7 @@ impl Client {
         let mut rng = Rng::seed_from_u64(seed);
         let mut last = ServeError::Io(format!("connect {addr}: no attempts made"));
         for attempt in 0..attempts.max(1) {
-            match Client::connect(addr) {
+            match Client::connect(addr).and_then(Client::admitted) {
                 Ok(client) => return Ok(client),
                 Err(e) => last = e,
             }
@@ -51,6 +55,18 @@ impl Client {
             }
         }
         Err(last)
+    }
+
+    /// `self`, once a `health` round trip shows the server admitted it.
+    fn admitted(mut self) -> ServeResult<Client> {
+        let doc = self.call(&Request::Health)?;
+        let error = doc.get("error");
+        let kind = error.and_then(|e| e.get("kind")).and_then(Json::as_str);
+        if kind == Some("too_many_connections") {
+            let limit = error.and_then(|e| e.get("limit")).and_then(Json::as_usize).unwrap_or(0);
+            return Err(ServeError::TooManyConnections { limit });
+        }
+        Ok(self)
     }
 
     fn from_stream(stream: TcpStream) -> ServeResult<Client> {

@@ -1,21 +1,24 @@
 //! The tape-free forward engine.
 //!
-//! [`evaluate_program`] interprets an exported [`Program`] by calling the
-//! exact same `lasagne-tensor` / `lasagne-sparse` kernels the autograd tape
-//! constructors call, in the same topological order — which is what makes a
-//! frozen forward bitwise-identical to the training-path eval forward, at
-//! any `lasagne-par` thread count (the parallel runtime's determinism
-//! contract says threads change wall-clock, never bits).
+//! [`Engine`] evaluates an exported [`lasagne_autograd::Program`] through
+//! the shared interpreter ([`RowPlan::eval_all`], all rows), which calls
+//! the exact same `lasagne-tensor` / `lasagne-sparse` kernels the autograd
+//! tape constructors call, in the same topological order — which is what
+//! makes a frozen forward bitwise-identical to the training-path eval
+//! forward, at any `lasagne-par` thread count (the parallel runtime's
+//! determinism contract says threads change wall-clock, never bits).
 //!
-//! [`Engine`] adds the **propagation cache**: for a transductive model the
-//! graph, features, and weights are all frozen, so the full-graph program is
+//! It adds the **propagation cache**: for a transductive model the graph,
+//! features, and weights are all frozen, so the full-graph program is
 //! evaluated exactly once at load time and every node query after that is a
 //! row lookup plus a softmax — no per-request linear algebra at all. That is
 //! also why the engine is `Send` (plain tensors, no `Rc`): the program is
 //! consumed at construction; what survives is the cache — plus, for models
 //! frozen with a graph binding, the streaming state that can patch it.
+//! Planning validates the program first, so a malformed artifact fails
+//! typed at load instead of panicking inside a kernel.
 
-use lasagne_autograd::{gat_attention, Program, ProgramOp};
+use lasagne_autograd::RowPlan;
 use lasagne_sparse::Csr;
 use lasagne_tensor::Tensor;
 
@@ -23,90 +26,15 @@ use crate::error::{ServeError, ServeResult};
 use crate::frozen::{FrozenMeta, FrozenModel, FrozenRec};
 use crate::streaming::StreamingState;
 
-/// Evaluate `program`, binding `Param` leaves against `weights` by name.
-/// Returns the output tensor (for a classifier: `N×F` logits).
-pub fn evaluate_program(program: &Program, weights: &[(String, Tensor)]) -> ServeResult<Tensor> {
-    let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
-    let mut values = evaluate_ops(&program.ops, &sparse, weights)?;
-    Ok(values.swap_remove(program.output))
-}
-
-/// Evaluate an op list against a sparse table and named weights, keeping
-/// **every** intermediate tensor. `evaluate_program` discards all but the
-/// output; the streaming engine keeps the whole vector as its per-op cache
-/// so mutations can re-derive only dirty rows (DESIGN.md §11).
-pub(crate) fn evaluate_ops(
-    ops: &[ProgramOp],
-    sparse: &[&Csr],
-    weights: &[(String, Tensor)],
-) -> ServeResult<Vec<Tensor>> {
-    lasagne_obs::span!("serve.evaluate");
-    let lookup = |name: &str| -> ServeResult<&Tensor> {
-        weights
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| ServeError::MissingParam(name.to_string()))
-    };
-    let mut values: Vec<Tensor> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let v = |i: usize| -> &Tensor { &values[i] };
-        let out = match op {
-            ProgramOp::Constant { value } => value.clone(),
-            ProgramOp::Param { name } => lookup(name)?.clone(),
-            ProgramOp::MatMul { a, b } => v(*a).matmul(v(*b)),
-            ProgramOp::SpMM { m, x } => sparse[*m].spmm(v(*x)),
-            ProgramOp::Add { a, b } => v(*a).add(v(*b)),
-            ProgramOp::Sub { a, b } => v(*a).sub(v(*b)),
-            ProgramOp::Mul { a, b } => v(*a).mul(v(*b)),
-            ProgramOp::Div { a, b } => v(*a).div(v(*b)),
-            ProgramOp::Scale { x, alpha } => v(*x).scale(*alpha),
-            ProgramOp::AddConst { x, c } => v(*x).add_scalar(*c),
-            ProgramOp::Pow { x, p, eps } => {
-                let (p, eps) = (*p, *eps);
-                v(*x).map(|t| (t + eps).powf(p))
-            }
-            ProgramOp::Exp { x } => v(*x).map(f32::exp),
-            ProgramOp::Relu { x } => v(*x).relu(),
-            ProgramOp::LeakyRelu { x, slope } => v(*x).leaky_relu(*slope),
-            ProgramOp::Sigmoid { x } => v(*x).sigmoid(),
-            ProgramOp::Tanh { x } => v(*x).tanh(),
-            ProgramOp::AddRowBroadcast { x, b } => v(*x).add_row_broadcast(v(*b)),
-            ProgramOp::AddColBroadcast { x, c } => v(*x).add_col_broadcast(v(*c)),
-            ProgramOp::MulColBroadcast { x, c } => v(*x).mul_col_broadcast(v(*c)),
-            ProgramOp::MulScalarNode { x, s } => v(*x).scale(v(*s).get(0, 0)),
-            ProgramOp::LogSoftmax { x } => v(*x).log_softmax_rows(),
-            ProgramOp::ConcatCols { parts } => {
-                let tensors: Vec<&Tensor> = parts.iter().map(|&p| v(p)).collect();
-                Tensor::concat_cols(&tensors)
-            }
-            ProgramOp::SliceCols { x, lo, hi } => v(*x).slice_cols(*lo, *hi),
-            ProgramOp::GatherRows { x, idx } => v(*x).gather_rows(idx),
-            ProgramOp::SumAll { x } => Tensor::full(1, 1, v(*x).sum()),
-            ProgramOp::SumRows { x } => v(*x).sum_rows(),
-            ProgramOp::SumCols { x } => v(*x).sum_cols(),
-            ProgramOp::MaxStack { parts } => {
-                // Mirror of `Tape::max_stack`: clone the first part, then
-                // fold element-wise max with strict `>` so ties keep the
-                // earliest layer — same comparison, same bits.
-                let mut acc = v(parts[0]).clone();
-                for &p in &parts[1..] {
-                    let pv = v(p);
-                    for (best, cand) in acc.as_mut_slice().iter_mut().zip(pv.as_slice()) {
-                        if *cand > *best {
-                            *best = *cand;
-                        }
-                    }
-                }
-                acc
-            }
-            ProgramOp::GatAggregate { adj, z, ssrc, sdst, slope } => {
-                gat_attention(sparse[*adj], v(*z), v(*ssrc), v(*sdst), *slope).out
-            }
-        };
-        values.push(out);
+/// Refuse a program whose output shape contradicts the metadata.
+pub(crate) fn check_output(shape: (usize, usize), meta: &FrozenMeta) -> ServeResult<()> {
+    if shape != (meta.num_nodes, meta.num_classes) {
+        return Err(ServeError::Mismatch(format!(
+            "program output is {shape:?} but metadata says {} nodes × {} classes",
+            meta.num_nodes, meta.num_classes
+        )));
     }
-    Ok(values)
+    Ok(())
 }
 
 /// One node's answer: the argmax class and the full softmax distribution.
@@ -142,28 +70,26 @@ pub struct Engine {
 
 impl Engine {
     /// Evaluate `frozen`'s program over the whole graph and cache the
-    /// result. Fails if the program references a weight the file does not
-    /// carry, or if its output shape contradicts the metadata.
+    /// result. Fails typed if the program is malformed, references a weight
+    /// the file does not carry, or has an output shape that contradicts the
+    /// metadata.
     pub fn new(frozen: FrozenModel) -> ServeResult<Engine> {
         lasagne_obs::span!("serve.engine.load");
-        let rec = frozen.rec;
-        let sparse: Vec<&Csr> = frozen.program.sparse.iter().map(|m| &**m).collect();
-        let values = evaluate_ops(&frozen.program.ops, &sparse, &frozen.weights)?;
-        let logits = values[frozen.program.output].clone();
-        if logits.shape() != (frozen.meta.num_nodes, frozen.meta.num_classes) {
-            return Err(ServeError::Mismatch(format!(
-                "program output is {:?} but metadata says {} nodes × {} classes",
-                logits.shape(),
-                frozen.meta.num_nodes,
-                frozen.meta.num_classes
-            )));
-        }
+        let FrozenModel { meta, weights, program, graph, rec } = frozen;
+        let values = {
+            let sparse: Vec<&Csr> = program.sparse.iter().map(|m| &**m).collect();
+            let plan = RowPlan::resident(&program.ops, sparse, &weights, program.output)?;
+            check_output(plan.output_shape(), &meta)?;
+            lasagne_obs::span!("serve.evaluate");
+            plan.eval_all()
+        };
+        let logits = values[program.output].clone().expect("output evaluated");
         let probs = logits.softmax_rows();
-        let streaming = match frozen.graph {
-            Some(g) => Some(StreamingState::new(frozen.program, g, frozen.weights, values)?),
+        let streaming = match graph {
+            Some(g) => Some(StreamingState::new(program, g, weights, values)?),
             None => None,
         };
-        Ok(Engine { meta: frozen.meta, logits, probs, streaming, rec })
+        Ok(Engine { meta, logits, probs, streaming, rec })
     }
 
     /// Load + checksum the frozen file at `path` and build its engine —

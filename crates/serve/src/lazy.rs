@@ -2,13 +2,13 @@
 //!
 //! [`crate::Engine`] evaluates the whole frozen program at load time — the
 //! right trade when most nodes will be queried. [`LazyEngine`] instead
-//! plans the program through the row-demand evaluator
-//! ([`lasagne_autograd::RowPlan`]) at load time and materializes logits
-//! **one partition at a time**, on first query of any node in that
-//! partition. Peak memory is O(partition + halo) per fault instead of
+//! plans the program once at load through the shared interpreter
+//! ([`lasagne_autograd::RowPlan`]) and materializes logits **one partition
+//! at a time** with its demanded-rows driver, on first query of any node in
+//! that partition. Peak memory is O(partition + halo) per fault instead of
 //! O(graph), and partitions never touched stay unmaterialized.
 //!
-//! The exactness contract is inherited from the evaluator, not relaxed:
+//! The exactness contract is inherited from the interpreter, not relaxed:
 //! every row served is bitwise identical to the resident engine's row
 //! (pinned by `tests/partition_equiv.rs`). Programs that cannot honor that
 //! contract row-locally (GAT's graph-global attention softmax) are refused
@@ -17,12 +17,12 @@
 
 use std::sync::OnceLock;
 
-use lasagne_autograd::{PevalError, ProgramOp, RowPlan};
+use lasagne_autograd::{Program, RowPlan};
 use lasagne_graph::{Graph, Partitioning};
 use lasagne_sparse::Csr;
 use lasagne_tensor::{Tensor, TensorRng};
 
-use crate::engine::Prediction;
+use crate::engine::{check_output, Prediction};
 use crate::error::{ServeError, ServeResult};
 use crate::frozen::{FrozenMeta, FrozenModel};
 use crate::streaming::Mutation;
@@ -30,17 +30,6 @@ use crate::streaming::Mutation;
 /// Deterministic seed for the load-time BFS partitioning: partition layout
 /// is a pure function of the frozen artifact and `k`.
 const PARTITION_SEED: u64 = 0;
-
-fn peval_err(e: PevalError) -> ServeError {
-    match e {
-        PevalError::MissingParam(name) => ServeError::MissingParam(name),
-        PevalError::NotRowLocal { .. } => ServeError::Mismatch(format!(
-            "program is not row-local, cannot serve it partition-lazily: {e} \
-             (serve the resident engine instead)"
-        )),
-        other => ServeError::Internal(format!("partitioned evaluation: {other}")),
-    }
-}
 
 /// One materialized partition: logits and softmax rows for the partition's
 /// nodes, in partition order.
@@ -52,13 +41,9 @@ struct PartCache {
 /// A frozen model serving out of lazily materialized per-partition caches.
 pub struct LazyEngine {
     meta: FrozenMeta,
-    // The plan inputs, held without `Rc` so the engine stays `Send + Sync`
-    // (a `RowPlan` is rebuilt per materialization; planning is shape
-    // inference only, evaluation dominates).
-    ops: Vec<ProgramOp>,
-    sparse: Vec<Csr>,
-    weights: Vec<(String, Tensor)>,
-    output: usize,
+    /// The row-local plan, made once at load; it owns the program and
+    /// weights, so the engine stays `Send + Sync`.
+    plan: RowPlan<'static>,
     /// Sorted node lists forming an exact cover of `0..num_nodes`, in
     /// deterministic order.
     parts: Vec<Vec<usize>>,
@@ -103,41 +88,17 @@ impl LazyEngine {
                 pos_in_part[v] = pos as u32;
             }
         }
-        let weights = frozen.weights;
-        let ops = frozen.program.ops;
-        let sparse: Vec<Csr> = frozen
-            .program
-            .sparse
+        let Program { ops, sparse, output } = frozen.program;
+        let sparse: Vec<Csr> = sparse
             .into_iter()
             .map(|m| std::rc::Rc::try_unwrap(m).unwrap_or_else(|rc| (*rc).clone()))
             .collect();
-        let output = frozen.program.output;
-        // Plan once up front: row-locality and missing weights surface as
-        // typed load errors, not first-query surprises.
-        {
-            let plan = RowPlan::from_parts(&ops, sparse.iter().collect(), &weights, output)
-                .map_err(peval_err)?;
-            if plan.output_shape() != (n, frozen.meta.num_classes) {
-                return Err(ServeError::Mismatch(format!(
-                    "program output is {:?} but metadata says {} nodes × {} classes",
-                    plan.output_shape(),
-                    n,
-                    frozen.meta.num_classes
-                )));
-            }
-        }
+        // Plan once up front: malformed programs, row-locality and missing
+        // weights surface as typed load errors, not first-query surprises.
+        let plan = RowPlan::owned(ops, sparse, frozen.weights, output)?.row_local()?;
+        check_output(plan.output_shape(), &frozen.meta)?;
         let caches = (0..parts.len()).map(|_| OnceLock::new()).collect();
-        Ok(LazyEngine {
-            meta: frozen.meta,
-            ops,
-            sparse,
-            weights,
-            output,
-            parts,
-            part_of,
-            pos_in_part,
-            caches,
-        })
+        Ok(LazyEngine { meta: frozen.meta, plan, parts, part_of, pos_in_part, caches })
     }
 
     /// Load + checksum the frozen file at `path` and plan it lazily.
@@ -183,14 +144,7 @@ impl LazyEngine {
         self.caches[p]
             .get_or_init(|| {
                 lasagne_obs::span!("serve.engine.lazy_materialize");
-                let plan = RowPlan::from_parts(
-                    &self.ops,
-                    self.sparse.iter().collect(),
-                    &self.weights,
-                    self.output,
-                )
-                .map_err(peval_err)?;
-                let logits = plan.eval_rows(&self.parts[p]).map_err(peval_err)?;
+                let logits = self.plan.eval_rows(&self.parts[p])?;
                 let probs = logits.softmax_rows();
                 Ok(PartCache { logits, probs })
             })

@@ -9,8 +9,9 @@
 //!    ([`lasagne_autograd::Program`]). Serialized with the workspace JSON
 //!    codec inside the same FNV-1a checksum envelope as training
 //!    checkpoints; exports are byte-deterministic.
-//! 2. **Tape-free engine** ([`Engine`]) — interprets the program with the
-//!    exact kernels the tape would have called, so frozen logits are
+//! 2. **Tape-free engine** ([`Engine`]) — runs the program through the
+//!    shared interpreter ([`lasagne_autograd::RowPlan`]) with the exact
+//!    kernels the tape would have called, so frozen logits are
 //!    bitwise-identical to the training path's eval forward at any thread
 //!    count. The full-graph result is computed once at load (the
 //!    *propagation cache*); per-node queries are row lookups.
@@ -54,7 +55,7 @@ mod server;
 mod streaming;
 
 pub use client::Client;
-pub use engine::{evaluate_program, Engine, Prediction};
+pub use engine::{Engine, Prediction};
 pub use lazy::LazyEngine;
 pub use error::{ServeError, ServeResult};
 pub use export::{freeze, freeze_rec};

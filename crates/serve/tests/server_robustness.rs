@@ -10,7 +10,9 @@ use std::net::TcpStream;
 
 use lasagne_gnn::{models, GraphContext, Hyper};
 use lasagne_graph::generators::{dc_sbm, DcSbmConfig};
-use lasagne_serve::{freeze, Client, Engine, FrozenModel, Request, Server, ServerConfig};
+use lasagne_serve::{
+    freeze, Client, Engine, FrozenModel, LazyEngine, Request, Server, ServerConfig,
+};
 use lasagne_tensor::TensorRng;
 use lasagne_testkit::Json;
 
@@ -391,4 +393,63 @@ fn frozen_file_round_trips_through_disk() {
         assert_eq!(a, b, "node {node}: disk round-trip changed the logits");
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// Three hand-built programs the JSON loader accepts but whose kernels
+/// would panic: a forward operand reference, a `MatMul` with disagreeing
+/// inner dimensions (4×5 · 3×2), and a `GatherRows` index past its
+/// operand's rows (9 of 4).
+fn malformed_models() -> Vec<(&'static str, FrozenModel)> {
+    use lasagne_autograd::ProgramOp::{Constant, GatherRows, MatMul};
+    use lasagne_tensor::Tensor;
+    let base = || FrozenModel { graph: None, rec: None, ..tiny_frozen() };
+
+    let mut forward = base();
+    let last = forward.program.ops.len() - 1;
+    let first_matmul = forward
+        .program
+        .ops
+        .iter()
+        .position(|op| matches!(op, MatMul { .. }))
+        .expect("GCN program has a matmul");
+    if let MatMul { a, .. } = &mut forward.program.ops[first_matmul] {
+        *a = last;
+    }
+
+    let mut matmul = base();
+    matmul.program.ops = vec![
+        Constant { value: Tensor::zeros(4, 5) },
+        Constant { value: Tensor::zeros(3, 2) },
+        MatMul { a: 0, b: 1 },
+    ];
+    matmul.program.output = 2;
+
+    let mut gather = base();
+    gather.program.ops =
+        vec![Constant { value: Tensor::zeros(4, 2) }, GatherRows { x: 0, idx: vec![9] }];
+    gather.program.output = 1;
+
+    vec![("forward reference", forward), ("matmul shapes", matmul), ("gather index", gather)]
+}
+
+#[test]
+fn malformed_programs_fail_typed_at_load_and_swap() {
+    let (_server, addr) = start_server(false);
+    let mut client = Client::connect(&addr).expect("connect");
+    for (i, (case, frozen)) in malformed_models().into_iter().enumerate() {
+        let path = std::env::temp_dir()
+            .join(format!("lasagne-serve-malformed-{i}-{}.json", std::process::id()));
+        frozen.save(&path).expect("save");
+        let loaded = FrozenModel::load(&path).expect("the JSON loader accepts it");
+        let resident = Engine::new(loaded.clone()).err().expect("resident engine must refuse");
+        assert_eq!(resident.kind(), "mismatch", "{case}: {resident}");
+        let lazy = LazyEngine::new(loaded, 1).err().expect("lazy engine must refuse");
+        assert_eq!(lazy.kind(), "mismatch", "{case}: {lazy}");
+        let doc = client
+            .call(&Request::SwapModel { path: path.to_str().expect("utf8 path").into() })
+            .unwrap_or_else(|e| panic!("{case}: swap_model got no typed answer: {e}"));
+        assert_eq!(error_kind(&doc), "mismatch", "{case}: {doc:?}");
+        assert_healthy(&addr);
+        let _ = std::fs::remove_file(path);
+    }
 }

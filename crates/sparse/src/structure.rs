@@ -99,8 +99,8 @@ impl Csr {
     /// Selected rows × *all* columns, column indices unchanged (unlike
     /// [`Csr::slice`], which renumbers). The result left-multiplies the same
     /// dense operands as `self`, so `gather_rows(rows).spmm(x)` computes
-    /// exactly the `rows` of `self.spmm(x)` — the streaming engine's
-    /// row-sliced re-propagation primitive.
+    /// exactly the `rows` of `self.spmm(x)` — the frozen-program
+    /// interpreter's row block against a whole operand.
     pub fn gather_rows(&self, rows: &[usize]) -> Csr {
         let mut indptr = Vec::with_capacity(rows.len() + 1);
         indptr.push(0);

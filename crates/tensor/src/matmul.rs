@@ -53,7 +53,7 @@ fn round_up_tile(rows: usize) -> usize {
 }
 
 /// `o += a * b` over a contiguous row — the inner loop of the pinned seed
-/// reference kernels and of `matmul_rows`.
+/// reference kernels.
 #[inline]
 fn axpy(o: &mut [f32], a: f32, b: &[f32]) {
     for (o, &b) in o.iter_mut().zip(b) {
@@ -273,48 +273,6 @@ impl Tensor {
                 gemm_panel::<false>(c, m, &a[i0 * k..], k, b, m, rows, k);
             }
         });
-        out
-    }
-
-    /// The selected `rows` of `self · other`, bitwise identical to the same
-    /// rows of [`Tensor::matmul`]: each element accumulates its products in
-    /// ascending `k` from `+0.0`, as the blocked kernel does. The zero-skip
-    /// branch follows the density probe of the **full** left operand, so it
-    /// is the branch the full product takes even for a non-finite right
-    /// operand (for a finite one either branch gives the same bits, see
-    /// DESIGN.md §14). The streaming engine's row-sliced re-evaluation
-    /// relies on this (DESIGN.md §11). Serial: dirty row sets are tiny
-    /// compared to the full product.
-    pub fn matmul_rows(&self, other: &Tensor, rows: &[usize]) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul_rows: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (k, m) = (self.cols, other.cols);
-        let mut out = Tensor::zeros(rows.len(), m);
-        if rows.is_empty() || m == 0 {
-            return out;
-        }
-        let skip = self.looks_sparse();
-        let (a, b) = (&self.data, &other.data);
-        for (r, &i) in rows.iter().enumerate() {
-            assert!(i < self.rows, "matmul_rows: row {i} out of range");
-            let a_row = &a[i * k..(i + 1) * k];
-            let o_row = &mut out.data[r * m..(r + 1) * m];
-            if skip {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            } else {
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    axpy(o_row, aik, &b[kk * m..(kk + 1) * m]);
-                }
-            }
-        }
         out
     }
 
@@ -679,28 +637,6 @@ mod tests {
             assert_eq!(bits(&a.matmul_nt(&bt)), bits(&a.matmul_nt_reference(&bt)), "nt");
             assert_eq!(bits(&a.matmul_tn(&rhs)), bits(&a.matmul_tn_reference(&rhs)), "tn");
         }
-    }
-
-    #[test]
-    fn matmul_rows_is_bitwise_slice_of_matmul() {
-        // Both probe branches: a sparse left operand (skip path) and a dense
-        // one (no-branch path). Selected rows must match the full product
-        // bit for bit, in arbitrary order and with repeats.
-        let sparse_a = Tensor::from_fn(6, 5, |i, j| if (i + j) % 3 == 0 { 0.37 * (i + 1) as f32 } else { 0.0 });
-        let dense_a = Tensor::from_fn(6, 5, |i, j| 0.11 * (i * 5 + j + 1) as f32);
-        let b = Tensor::from_fn(5, 4, |i, j| ((i * 4 + j) as f32).sin());
-        for a in [&sparse_a, &dense_a] {
-            let full = a.matmul(&b);
-            let rows = [4usize, 0, 4, 2];
-            let part = a.matmul_rows(&b, &rows);
-            assert_eq!(part.shape(), (4, 4));
-            for (r, &i) in rows.iter().enumerate() {
-                let got: Vec<u32> = part.row(r).iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = full.row(i).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "row {i}");
-            }
-        }
-        assert_eq!(sparse_a.matmul_rows(&b, &[]).shape(), (0, 4));
     }
 
     #[test]

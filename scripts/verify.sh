@@ -9,17 +9,21 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline =="
+echo "== cargo test -q --offline (every workspace member: default-members) =="
 cargo test -q --offline
 
-echo "== fault-injection smoke (rollback, checksum fallback, bit-identical resume) =="
-cargo test -q --offline -p lasagne-train --test fault_injection
+# Everything below adds something `cargo test` alone does not: thread-count
+# sweeps, live servers, `cmp` of artifacts, repeat runs of the timing-
+# sensitive suites, and bench smokes.
 
 echo "== release CLI links with --resume/--max-recoveries/--clip-norm =="
 cargo run --release --offline --bin lasagne-cli -- --list > /dev/null
 
 echo "== determinism across thread counts (LASAGNE_THREADS=1 vs 4) =="
-# The kernel suites under both pool sizes...
+# The kernel suites under both pool sizes — including the blocked-kernel
+# equivalence suites (`blocked_equiv`, `spmm_blocked`: blocked kernels are
+# bit-for-bit the pinned seed references, and additionally sweep thread
+# counts internally)...
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-tensor -p lasagne-sparse
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor -p lasagne-sparse
 # ...and a short end-to-end training run: the saved checkpoints must be
@@ -30,28 +34,12 @@ LASAGNE_THREADS=4 cargo run --release --offline --bin lasagne-cli -- \
     cora gcn --epochs 3 --save target/verify_t4.ckpt.json > /dev/null
 cmp target/verify_t1.ckpt.json target/verify_t4.ckpt.json
 
-echo "== kernel equivalence: blocked kernels bitwise-equal pinned seed references =="
-# The blocked/tiled matmul family and the column-blocked SpMM must compute
-# bit-for-bit what the pre-blocking seed loops computed, at 1 and 4 pool
-# threads (the suites additionally sweep thread counts internally).
-LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
-LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-tensor --test blocked_equiv
-LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
-LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-sparse --test spmm_blocked
-
-echo "== autograd: gradcheck, random programs, partitioned eval at 1 and 4 threads =="
-# Includes the randomized property that partitioned evaluation of random
-# graph programs is bitwise the tape forward over random partition covers
-# (DESIGN.md §14), plus the peval unit tests.
+echo "== autograd: gradcheck, random programs, the interpreter at 1 and 4 threads =="
+# Includes the randomized properties that partitioned and incremental
+# evaluation of random graph programs are bitwise the tape forward and the
+# cold evaluation (DESIGN.md §11, §14), plus the interpreter's unit tests.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-autograd
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-autograd
-
-echo "== gradcheck sweeps (13 baselines + Lasagne aggregators + GC-FM) =="
-cargo test -q --offline -p lasagne-gnn --test gradcheck_models
-cargo test -q --offline -p lasagne-core --test gradcheck_lasagne
-
-echo "== MI golden tests (closed-form histogram + KSG cases) =="
-cargo test -q --offline -p lasagne-mi --test golden
 
 echo "== trace: artifact is valid and has the expected spans =="
 rm -f target/verify_trace.ckpt.json
@@ -108,8 +96,13 @@ cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --smoke --out target/BENCH_serve.smoke.json > /dev/null
 test -s target/BENCH_serve.smoke.json
 
-echo "== overload contract: bounded admission, deadlines, hot swap, protocol fuzz =="
-cargo test -q --offline -p lasagne-serve --test overload
+echo "== timing-sensitive suites, repeated (overload contract, live-vs-cold streaming) =="
+# A flaky test is a bug until proven otherwise: five more runs flush
+# accept/refusal and batcher races a single `cargo test` pass can miss.
+for run in 1 2 3 4 5; do
+    echo "-- repeat $run/5"
+    cargo test -q --offline -p lasagne-serve --test overload --test streaming_equiv
+done
 
 echo "== overload soak: 30s flood at 4x the knee with chaos clients, hot swap mid-flood =="
 # Pass criteria enforced by the binary (DESIGN.md §12): zero untyped
@@ -119,11 +112,9 @@ echo "== overload soak: 30s flood at 4x the knee with chaos clients, hot swap mi
 cargo run --release --offline -p lasagne-bench --bin serve-bench -- \
     --soak --duration-s 30
 
-echo "== streaming: bitwise property suites (delta layer + live-vs-cold engines) =="
-cargo test -q --offline -p lasagne-sparse --test delta
-cargo test -q --offline -p lasagne-sparse --test transpose_cache_delta
-cargo test -q --offline -p lasagne-serve --test streaming_equiv
-cargo test -q --offline -p lasagne-serve --test server_robustness
+echo "== streaming: live-vs-cold engine suite at 1 and 4 threads =="
+LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test streaming_equiv
+LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test streaming_equiv
 
 echo "== streaming: live mutated server is bitwise-equal to an always-cold engine =="
 # The drive replays a scripted mutation session over TCP against a server
@@ -153,13 +144,11 @@ test -s target/BENCH_streaming.smoke.json
 echo "== partitioning: property suite + equivalence harnesses at 1 and 4 threads =="
 # The partition-equivalence contract (DESIGN.md §14): partitioned eval,
 # streamed out-of-core training, and lazy partitioned serving are bitwise
-# identical to the resident paths, at both pool sizes; corrupted partition
-# blocks always fail typed.
+# identical to the resident paths, at both pool sizes.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-graph --test partition
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-graph --test partition
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-train --test partition_equiv
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-train --test partition_equiv
-cargo test -q --offline -p lasagne-train --test partition_faults
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test partition_equiv
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test partition_equiv
 
@@ -181,13 +170,10 @@ cargo run --release --offline -p lasagne-bench --bin scale-bench -- \
     --smoke --out target/BENCH_scale.smoke.json
 test -s target/BENCH_scale.smoke.json
 
-echo "== rec: edge-data, gated-model, and serving suites at 1 and 4 threads =="
-# The recommendation contract (DESIGN.md §15): edge features stay aligned
-# through deltas and gathers, the gate is gradient-checked, per-edge
-# attributes are bitwise seed-deterministic, and frozen `recommend` is
-# bitwise the training-side ranker at both pool sizes.
-cargo test -q --offline -p lasagne-sparse --test edgedata
-cargo test -q --offline -p lasagne-graph --test bipartite_attrs
+echo "== frozen forward and rec serving suites at 1 and 4 threads =="
+# The recommendation contract (DESIGN.md §15): frozen `recommend` is
+# bitwise the training-side ranker, and frozen logits are bitwise the
+# training path's, at both pool sizes.
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test frozen_forward
 LASAGNE_THREADS=4 cargo test -q --offline -p lasagne-serve --test frozen_forward
 LASAGNE_THREADS=1 cargo test -q --offline -p lasagne-serve --test rec_serving
